@@ -27,6 +27,7 @@ import numpy as np
 
 from ..core.hypergraph import TaskHypergraph
 from ..core.semimatching import HyperSemiMatching
+from ..kernels import flat_ranges
 
 __all__ = ["ReducedInstance", "preprocess", "solve_reduced"]
 
@@ -141,11 +142,15 @@ def preprocess(hg: TaskHypergraph) -> ReducedInstance:
     if free_tasks.size:
         new_task_id = -np.ones(hg.n_tasks, dtype=np.int64)
         new_task_id[free_tasks] = np.arange(free_tasks.size)
-        kernel = TaskHypergraph.from_hyperedges(
+        sizes = np.diff(hg.hedge_ptr)[keep_hedges]
+        kernel_ptr = np.zeros(keep_hedges.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=kernel_ptr[1:])
+        kernel = TaskHypergraph.from_csr(
             int(free_tasks.size),
             hg.n_procs,
             new_task_id[hg.hedge_task[keep_hedges]],
-            [hg.hedge_proc_set(int(h)) for h in keep_hedges],
+            kernel_ptr,
+            hg.hedge_procs[flat_ranges(hg.hedge_ptr[keep_hedges], sizes)],
             hg.hedge_w[keep_hedges],
         )
     return ReducedInstance(

@@ -18,6 +18,7 @@ both kept as flat CSR arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +28,17 @@ from .errors import GraphStructureError
 from .._util import check_1d_int
 
 __all__ = ["TaskHypergraph"]
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of ``keys`` (all in ``[0, bound)``).
+
+    A stable sort's result does not depend on the algorithm, so keys
+    that fit 16 bits are sorted as ``uint16``, which numpy radix-sorts.
+    """
+    if bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable").astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -68,27 +80,52 @@ class TaskHypergraph:
     # construction
     # ------------------------------------------------------------------
     @staticmethod
-    def from_hyperedges(
+    def from_csr(
         n_tasks: int,
         n_procs: int,
         hedge_task: np.ndarray | Sequence[int],
-        proc_lists: Iterable[Iterable[int]],
+        hedge_ptr: np.ndarray | Sequence[int],
+        hedge_procs: np.ndarray | Sequence[int],
         weights: np.ndarray | Sequence[float] | None = None,
     ) -> "TaskHypergraph":
-        """Build a hypergraph from one (task, processor-set) pair per edge.
+        """Build a hypergraph from its CSR pin arrays — the one
+        constructor every other builder funnels into.
 
-        ``hedge_task[k]`` is the task of hyperedge ``k``; ``proc_lists[k]``
-        its processor set (must be non-empty and duplicate-free);
-        ``weights[k]`` its weight (defaults to 1, i.e. MULTIPROC-UNIT).
+        Hyperedge ``k`` belongs to task ``hedge_task[k]`` and pins
+        processors ``hedge_procs[hedge_ptr[k]:hedge_ptr[k+1]]`` (a
+        non-empty, duplicate-free set); ``weights[k]`` is its weight
+        (defaults to 1, i.e. MULTIPROC-UNIT).  Every check is one
+        vectorized pass, so construction costs a few sorts whatever the
+        hyperedge count.
         """
-        ht = check_1d_int(np.asarray(hedge_task), "hedge_task")
-        plists = [np.asarray(list(ps), dtype=np.int64) for ps in proc_lists]
-        if len(plists) != ht.shape[0]:
+        n_tasks, n_procs = int(n_tasks), int(n_procs)
+        if n_tasks < 0 or n_procs < 0:
             raise GraphStructureError(
-                f"got {ht.shape[0]} hyperedge tasks but {len(plists)} "
-                "processor lists"
+                f"vertex counts must be non-negative, got n_tasks={n_tasks}, "
+                f"n_procs={n_procs}"
             )
+        ht = check_1d_int(hedge_task, "hedge_task")
+        ptr = check_1d_int(hedge_ptr, "hedge_ptr")
+        procs = check_1d_int(hedge_procs, "hedge_procs")
         nh = ht.shape[0]
+        if ptr.shape != (nh + 1,):
+            raise GraphStructureError(
+                f"got {nh} hyperedge tasks but {ptr.shape[0] - 1} "
+                "processor lists (hedge_ptr needs n_hedges + 1 entries)"
+            )
+        if ptr[0] != 0 or ptr[-1] != procs.shape[0]:
+            raise GraphStructureError(
+                f"hedge_ptr must start at 0 and end at len(hedge_procs) = "
+                f"{procs.shape[0]}, got {int(ptr[0])}..{int(ptr[-1])}"
+            )
+        sizes = np.diff(ptr)
+        if nh and sizes.min() <= 0:
+            bad = int(np.flatnonzero(sizes <= 0)[0])
+            if sizes[bad] < 0:
+                raise GraphStructureError(
+                    f"hedge_ptr decreases at hyperedge {bad}"
+                )
+            raise GraphStructureError(f"hyperedge {bad} has an empty processor set")
         if weights is None:
             w = np.ones(nh, dtype=np.float64)
         else:
@@ -104,60 +141,73 @@ class TaskHypergraph:
                 )
         if nh and (ht.min() < 0 or ht.max() >= n_tasks):
             raise GraphStructureError("hyperedge task id out of range")
-        sizes = np.array([len(ps) for ps in plists], dtype=np.int64)
-        if np.any(sizes == 0):
-            bad = int(np.flatnonzero(sizes == 0)[0])
-            raise GraphStructureError(f"hyperedge {bad} has an empty processor set")
-        hedge_ptr = np.zeros(nh + 1, dtype=np.int64)
-        np.cumsum(sizes, out=hedge_ptr[1:])
-        hedge_procs = (
-            np.concatenate(plists) if plists else np.empty(0, dtype=np.int64)
-        )
-        if hedge_procs.size and (
-            hedge_procs.min() < 0 or hedge_procs.max() >= n_procs
-        ):
+        if procs.size and (procs.min() < 0 or procs.max() >= n_procs):
             raise GraphStructureError("hyperedge processor id out of range")
         pin_owner = np.repeat(np.arange(nh, dtype=np.int64), sizes)
-        # duplicate pins within a hyperedge: one vectorized pass over
-        # (owner, proc) pairs — a per-hyperedge np.unique loop costs
-        # more than the rest of construction on many-small-edge
-        # instances (the service's wire-deserialisation hot path)
-        if hedge_procs.size:
-            order = np.lexsort((hedge_procs, pin_owner))
-            sp, so = hedge_procs[order], pin_owner[order]
-            dup = (sp[1:] == sp[:-1]) & (so[1:] == so[:-1])
+        # duplicate pins within a hyperedge: sort one combined key and
+        # compare neighbours (owner * n_procs + proc stays far below
+        # 2**63 for any instance that fits in memory)
+        if procs.size:
+            key = np.sort(pin_owner * n_procs + procs)
+            dup = key[1:] == key[:-1]
             if np.any(dup):
-                bad = int(so[1:][dup][0])
+                bad = int(key[1:][dup][0] // n_procs)
                 raise GraphStructureError(
                     f"hyperedge {bad} contains duplicate processors"
                 )
 
         # task -> hyperedges (stable: preserves input hyperedge order)
-        order_t = np.argsort(ht, kind="stable")
-        task_hedges = order_t.astype(np.int64)
+        task_hedges = _stable_order(ht, n_tasks)
         task_ptr = np.zeros(n_tasks + 1, dtype=np.int64)
-        np.add.at(task_ptr, ht + 1, 1)
-        np.cumsum(task_ptr, out=task_ptr)
+        np.cumsum(np.bincount(ht, minlength=n_tasks), out=task_ptr[1:])
 
         # processor -> hyperedges
-        order_p = np.argsort(hedge_procs, kind="stable")
-        proc_hedges = pin_owner[order_p]
+        proc_hedges = pin_owner[_stable_order(procs, n_procs)]
         proc_ptr = np.zeros(n_procs + 1, dtype=np.int64)
-        np.add.at(proc_ptr, hedge_procs + 1, 1)
-        np.cumsum(proc_ptr, out=proc_ptr)
+        np.cumsum(np.bincount(procs, minlength=n_procs), out=proc_ptr[1:])
 
         return TaskHypergraph(
             n_tasks=n_tasks,
             n_procs=n_procs,
             n_hedges=nh,
             hedge_task=ht,
-            hedge_ptr=hedge_ptr,
-            hedge_procs=hedge_procs,
+            hedge_ptr=ptr,
+            hedge_procs=procs,
             hedge_w=w,
             task_ptr=task_ptr,
             task_hedges=task_hedges,
             proc_ptr=proc_ptr,
             proc_hedges=proc_hedges,
+        )
+
+    @staticmethod
+    def from_hyperedges(
+        n_tasks: int,
+        n_procs: int,
+        hedge_task: np.ndarray | Sequence[int],
+        proc_lists: Iterable[Iterable[int]],
+        weights: np.ndarray | Sequence[float] | None = None,
+    ) -> "TaskHypergraph":
+        """Build a hypergraph from one (task, processor-set) pair per edge.
+
+        ``hedge_task[k]`` is the task of hyperedge ``k``; ``proc_lists[k]``
+        its processor set (must be non-empty and duplicate-free);
+        ``weights[k]`` its weight (defaults to 1, i.e. MULTIPROC-UNIT).
+        The lists are flattened into CSR arrays for :meth:`from_csr`.
+        """
+        plists = list(map(tuple, proc_lists))
+        hedge_ptr = np.zeros(len(plists) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, plists), dtype=np.int64, count=len(plists)),
+            out=hedge_ptr[1:],
+        )
+        hedge_procs = np.fromiter(
+            chain.from_iterable(plists),
+            dtype=np.int64,
+            count=int(hedge_ptr[-1]),
+        )
+        return TaskHypergraph.from_csr(
+            n_tasks, n_procs, hedge_task, hedge_ptr, hedge_procs, weights
         )
 
     @staticmethod
@@ -310,11 +360,12 @@ class TaskHypergraph:
         owner = np.repeat(
             np.arange(graph.n_tasks, dtype=np.int64), np.diff(graph.task_ptr)
         )
-        return TaskHypergraph.from_hyperedges(
+        return TaskHypergraph.from_csr(
             graph.n_tasks,
             graph.n_procs,
             owner,
-            [[int(u)] for u in graph.task_adj],
+            np.arange(graph.n_edges + 1, dtype=np.int64),
+            graph.task_adj,
             graph.weights,
         )
 

@@ -109,14 +109,11 @@ def read_hypergraph_mm(path: str | Path) -> TaskHypergraph:
             f"{pins.shape[0]} hyperedges in the matrix but "
             f"{len(hedge_task)} task entries"
         )
-    proc_lists = [
-        pins.indices[pins.indptr[h] : pins.indptr[h + 1]].astype(np.int64)
-        for h in range(pins.shape[0])
-    ]
-    return TaskHypergraph.from_hyperedges(
+    return TaskHypergraph.from_csr(
         n_tasks,
         pins.shape[1],
         np.asarray(hedge_task, dtype=np.int64),
-        proc_lists,
+        pins.indptr,
+        pins.indices,
         np.asarray(weights, dtype=np.float64),
     )

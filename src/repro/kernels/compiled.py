@@ -127,14 +127,15 @@ class CompiledKernels:
             np.arange(hg.n_tasks, dtype=np.int64), np.diff(hg.task_ptr)
         )
         order = np.argsort(self.g_hedge, kind="stable")
-        return TaskHypergraph.from_hyperedges(
+        sizes = self.g_size[order]
+        hedge_ptr = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
+        np.cumsum(sizes, out=hedge_ptr[1:])
+        return TaskHypergraph.from_csr(
             hg.n_tasks,
             hg.n_procs,
             task_of_g[order],
-            [
-                self.g_pins[self.g_ptr[k] : self.g_ptr[k + 1]]
-                for k in order
-            ],
+            hedge_ptr,
+            self.g_pins[flat_ranges(self.g_ptr[:-1][order], sizes)],
             self.g_w[order],
         )
 

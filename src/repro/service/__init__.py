@@ -54,6 +54,7 @@ from .metrics import Histogram, Metrics
 from .protocol import (
     ERROR_CODES,
     MAX_FRAME_BYTES,
+    MAX_INSTANCE_VERTICES,
     OPS,
     PROTOCOL_VERSION,
     ErrorCode,
@@ -89,6 +90,7 @@ __all__ = [
     "Histogram",
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "MAX_INSTANCE_VERTICES",
     "OPS",
     "ERROR_CODES",
     "ErrorCode",

@@ -44,6 +44,7 @@ from typing import Any
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "MAX_INSTANCE_VERTICES",
     "OPS",
     "ErrorCode",
     "ERROR_CODES",
@@ -70,6 +71,14 @@ PROTOCOL_VERSION = 1
 
 #: Upper bound on one frame's size (requests carry whole instances).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Upper bound on an instance's declared ``n_tasks`` and ``n_procs``.
+#: The counts size index arrays before any pin is read, so they are
+#: bounded rather than trusted; a request over the bound answers
+#: ``bad-request``.  A hyperedge costs at least ~27 frame bytes as
+#: base64 columns, so a full frame carries under 2.6 million of them
+#: and no solvable instance has more tasks than this.
+MAX_INSTANCE_VERTICES = 1 << 22
 
 #: Every operation a server answers.
 OPS = (

@@ -207,6 +207,9 @@ class SolveServer:
         self._solve_expected = 0
         self._conn_ids = itertools.count(1)
         self._conns: set[_Conn] = set()
+        #: the ``_serve_connection`` task of every open connection;
+        #: ``stop()`` awaits them so none outlives the server
+        self._conn_tasks: set[asyncio.Task] = set()
         self._started_monotonic: float | None = None
         self._server: asyncio.AbstractServer | None = None
         self._stop_task: asyncio.Task | None = None
@@ -252,9 +255,12 @@ class SolveServer:
         state after it returns.
 
         Lingering connections are then closed outright rather than
-        awaited: on Python >= 3.12.1 ``Server.wait_closed`` blocks
+        waited for: on Python >= 3.12.1 ``Server.wait_closed`` blocks
         until every client disconnects, which would let one idle client
-        hold shutdown hostage."""
+        hold shutdown hostage.  Closing a connection's writer ends its
+        read loop, and its ``_serve_connection`` task is then awaited
+        (bounded by ``drain_s`` like the handlers), so no connection
+        task is left pending for the event loop to destroy."""
         if self._server is not None:
             self._server.close()
             self._server = None
@@ -262,24 +268,34 @@ class SolveServer:
         # exactly there, and flushing lets them finish inside the drain
         # window instead of being cancelled mid-solve
         await self.batcher.flush_all()
-        tasks = {t for conn in list(self._conns) for t in conn.tasks}
-        tasks.discard(asyncio.current_task())
-        if tasks:
-            done, pending = await asyncio.wait(tasks, timeout=drain_s)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+        await self._await_all(
+            {t for conn in list(self._conns) for t in conn.tasks}, drain_s
+        )
         # a drained handler may have enqueued new batch work (admitted
         # before the listener closed): flush again so nothing dangles
         await self.batcher.flush_all()
         for conn in list(self._conns):
             conn.writer.close()
+        await self._await_all(self._conn_tasks, drain_s)
         if self.tracing and self._trace_prev is not None:
             if not self._trace_prev:
                 disable_tracing()
             self._trace_prev = None
         self._stopping.set()
+
+    @staticmethod
+    async def _await_all(tasks: set[asyncio.Task], timeout_s: float) -> None:
+        """Wait up to ``timeout_s`` for ``tasks``, then cancel and await
+        the stragglers (the calling task itself is skipped)."""
+        tasks = set(tasks)
+        tasks.discard(asyncio.current_task())
+        if not tasks:
+            return
+        _done, pending = await asyncio.wait(tasks, timeout=timeout_s)
+        for task in pending:
+            task.cancel()
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
 
     # ------------------------------------------------------------------
     # connection loop
@@ -287,6 +303,10 @@ class SolveServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._conn_tasks.add(task)
+            task.add_done_callback(self._conn_tasks.discard)
         conn = _Conn(id=next(self._conn_ids), writer=writer)
         self._conns.add(conn)
         self.metrics.incr("connections")

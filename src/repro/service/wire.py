@@ -15,7 +15,7 @@ from typing import Any
 from ..core.hypergraph import TaskHypergraph
 from ..dynamic import DynamicInstance
 from ..engine.transport import attach_instance, is_descriptor
-from .protocol import ErrorCode, ProtocolError
+from .protocol import MAX_INSTANCE_VERTICES, ErrorCode, ProtocolError
 
 __all__ = [
     "hypergraph_from_wire",
@@ -67,6 +67,14 @@ def _checked_kind(data: Any, what: str) -> str:
             f"{list(_KINDS)})",
             code=ErrorCode.BAD_REQUEST,
         )
+    for name in ("n_tasks", "n_procs"):
+        count = data.get(name)
+        if isinstance(count, int) and count > MAX_INSTANCE_VERTICES:
+            raise ProtocolError(
+                f"{what} declares {name} = {count}, above the limit of "
+                f"{MAX_INSTANCE_VERTICES}",
+                code=ErrorCode.BAD_REQUEST,
+            )
     return kind
 
 

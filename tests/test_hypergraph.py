@@ -6,7 +6,38 @@ from hypothesis import given, settings
 
 from repro.core import BipartiteGraph, GraphStructureError, TaskHypergraph
 
-from strategies import task_hypergraphs
+from strategies import generated_instances, task_hypergraphs
+
+
+def reference_indexes(hedge_task, proc_lists, n_tasks, n_procs):
+    """The per-hyperedge loop that ``from_csr`` vectorizes: CSR pins
+    plus the task and processor indexes, built the slow obvious way."""
+    hedge_ptr = np.cumsum([0] + [len(ps) for ps in proc_lists])
+    hedge_procs = np.array(
+        [u for ps in proc_lists for u in ps], dtype=np.int64
+    )
+    task_hedges = [
+        h for i in range(n_tasks)
+        for h in range(len(hedge_task)) if hedge_task[h] == i
+    ]
+    task_ptr = np.cumsum(
+        [0] + [list(hedge_task).count(i) for i in range(n_tasks)]
+    )
+    proc_hedges = [
+        h for u in range(n_procs)
+        for h, ps in enumerate(proc_lists) if u in ps
+    ]
+    proc_ptr = np.cumsum(
+        [0] + [sum(u in ps for ps in proc_lists) for u in range(n_procs)]
+    )
+    return {
+        "hedge_ptr": hedge_ptr,
+        "hedge_procs": hedge_procs,
+        "task_ptr": task_ptr,
+        "task_hedges": task_hedges,
+        "proc_ptr": proc_ptr,
+        "proc_hedges": proc_hedges,
+    }
 
 
 class TestConstruction:
@@ -62,6 +93,83 @@ class TestConstruction:
             TaskHypergraph.from_configurations(
                 [[[0], [1]]], n_procs=2, weights=[[1.0]]
             )
+
+
+class TestFromCsr:
+    def test_matches_from_hyperedges(self):
+        a = TaskHypergraph.from_hyperedges(
+            2, 3, [0, 0, 1], [[0], [1, 2], [2]], [1.0, 2.0, 3.0]
+        )
+        b = TaskHypergraph.from_csr(
+            2, 3, [0, 0, 1], [0, 1, 3, 4], [0, 1, 2, 2], [1.0, 2.0, 3.0]
+        )
+        for name in ("hedge_task", "hedge_ptr", "hedge_procs", "hedge_w",
+                     "task_ptr", "task_hedges", "proc_ptr", "proc_hedges"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert getattr(a, name).dtype == getattr(b, name).dtype
+
+    def test_ptr_must_start_at_zero(self):
+        with pytest.raises(GraphStructureError, match="start at 0"):
+            TaskHypergraph.from_csr(1, 2, [0], [1, 2], [0, 1])
+
+    def test_ptr_must_end_at_pin_count(self):
+        with pytest.raises(GraphStructureError, match="len\\(hedge_procs\\)"):
+            TaskHypergraph.from_csr(1, 2, [0], [0, 1], [0, 1])
+
+    def test_ptr_must_not_decrease(self):
+        with pytest.raises(GraphStructureError, match="decreases"):
+            TaskHypergraph.from_csr(1, 3, [0, 0, 0], [0, 2, 1, 3], [0, 1, 2])
+
+    def test_ptr_length(self):
+        with pytest.raises(GraphStructureError, match="n_hedges \\+ 1"):
+            TaskHypergraph.from_csr(1, 2, [0], [0, 1, 2], [0, 1])
+
+    def test_duplicate_pin_named_by_hyperedge(self):
+        with pytest.raises(GraphStructureError, match="hyperedge 1 contains"):
+            TaskHypergraph.from_csr(1, 3, [0, 0], [0, 2, 4], [0, 1, 2, 2])
+
+    def test_same_proc_in_two_hyperedges_is_not_a_duplicate(self):
+        hg = TaskHypergraph.from_csr(1, 2, [0, 0], [0, 1, 2], [1, 1])
+        assert hg.proc_hedges.tolist() == [0, 1]
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(GraphStructureError, match="non-negative"):
+            TaskHypergraph.from_csr(-1, 2, [], [0], [])
+
+    def test_non_finite_weight_rejected(self):
+        with pytest.raises(GraphStructureError, match="finite and positive"):
+            TaskHypergraph.from_csr(1, 1, [0], [0, 1], [0], [np.nan])
+
+    @pytest.mark.parametrize("n_procs", [5, 70_000])
+    def test_indexes_match_reference_loop(self, n_procs):
+        # 70_000 processors exceed the uint16 sort key, so both index
+        # sort paths are pinned against the same reference
+        rng = np.random.default_rng(n_procs)
+        n_tasks = 7
+        hedge_task = rng.integers(0, n_tasks, size=25)
+        proc_lists = [
+            rng.choice(n_procs, size=int(rng.integers(1, 4)), replace=False)
+            .tolist()
+            for _ in hedge_task
+        ]
+        hg = TaskHypergraph.from_hyperedges(
+            n_tasks, n_procs, hedge_task, proc_lists
+        )
+        ref = reference_indexes(hedge_task, proc_lists, n_tasks, n_procs)
+        for name, want in ref.items():
+            assert getattr(hg, name).tolist() == list(want), name
+
+
+@given(generated_instances(max_tasks=24))
+@settings(max_examples=25, deadline=None)
+def test_from_csr_indexes_match_reference_loop(hg):
+    """Property: the vectorized indexes equal the per-hyperedge loop."""
+    proc_lists = [hg.hedge_proc_set(h).tolist() for h in range(hg.n_hedges)]
+    ref = reference_indexes(
+        hg.hedge_task.tolist(), proc_lists, hg.n_tasks, hg.n_procs
+    )
+    for name, want in ref.items():
+        assert getattr(hg, name).tolist() == list(want), name
 
 
 class TestProcIndex:

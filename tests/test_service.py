@@ -186,21 +186,39 @@ class TestProtocol:
 # ---------------------------------------------------------------------------
 class TestSolveRoundTrip:
     def test_remote_solve_is_bit_identical_to_local(self):
+        """Clients send instance format v2; a hand-built v1 dict of the
+        same instance must answer identically."""
+        from repro.service import instance_to_wire
+
         instances = small_instances(4, n_tasks=48)
         with running_server() as (server, _loop):
             with ServiceClient(port=server.port) as client:
                 assert client.ping()["pong"] is True
                 for method in ("EVG", "SGH+ls", "auto"):
                     for hg in instances:
+                        assert instance_to_wire(hg)["version"] == 2
+                        v1 = {
+                            "kind": "hypergraph",
+                            "version": 1,
+                            "n_tasks": hg.n_tasks,
+                            "n_procs": hg.n_procs,
+                            "hedge_task": hg.hedge_task.tolist(),
+                            "pins": [
+                                hg.hedge_proc_set(h).tolist()
+                                for h in range(hg.n_hedges)
+                            ],
+                            "weights": hg.hedge_w.tolist(),
+                        }
                         local = api_solve(hg, method=method)
-                        remote = client.solve(hg, method=method)
-                        assert np.array_equal(
-                            remote.assignment, local.hedge_of_task
-                        )
-                        assert remote.makespan == local.makespan
-                        # re-validates against the caller's instance
-                        m = remote.matching(hg)
-                        assert m.makespan == local.makespan
+                        for wire in (hg, v1):
+                            remote = client.solve(wire, method=method)
+                            assert np.array_equal(
+                                remote.assignment, local.hedge_of_task
+                            )
+                            assert remote.makespan == local.makespan
+                            # re-validates against the caller's instance
+                            m = remote.matching(hg)
+                            assert m.makespan == local.makespan
 
     def test_equivalent_option_spellings_share_cache_entries(self):
         (hg,) = small_instances(1)
@@ -234,6 +252,59 @@ class TestSolveRoundTrip:
                 assert exc.value.code == "bad-request"
                 # the connection survives every error above
                 assert client.ping()["pong"] is True
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pins", [[0.5]]),  # fractional pin id
+            ("pins", [[True]]),  # boolean pin id
+            ("weights", [True]),  # boolean weight
+            ("weights", ["1.0"]),  # string weight
+        ],
+    )
+    def test_mistyped_instance_fields_answer_bad_request(self, field, value):
+        instance = {
+            "kind": "hypergraph", "version": 1, "n_tasks": 1,
+            "n_procs": 2, "hedge_task": [0], "pins": [[0]],
+            "weights": [1.0],
+        }
+        instance[field] = value
+        with running_server() as (server, _loop):
+            with ServiceClient(port=server.port) as client:
+                with pytest.raises(RemoteError) as exc:
+                    client.call("solve", instance=instance)
+                assert exc.value.code == "bad-request"
+                assert repr(field) in str(exc.value)
+                assert client.ping()["pong"] is True
+
+    def test_huge_declared_size_answers_bad_request(self):
+        """A ~150-byte frame declaring ``n_procs = 10**10`` is refused
+        before anything is sized from it."""
+        frame = encode_frame(
+            request(
+                "solve", 1,
+                instance={
+                    "kind": "hypergraph", "version": 1, "n_tasks": 1,
+                    "n_procs": 10**10, "hedge_task": [0], "pins": [[0]],
+                    "weights": [1.0],
+                },
+            )
+        )
+        assert len(frame) < 200
+        with running_server() as (server, _loop):
+            sock = socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30
+            )
+            rfile = sock.makefile("rb")
+            try:
+                sock.sendall(frame)
+                reply = json.loads(rfile.readline())
+                assert reply["ok"] is False
+                assert reply["error"]["code"] == "bad-request"
+                assert "n_procs" in reply["error"]["message"]
+            finally:
+                rfile.close()
+                sock.close()
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +730,29 @@ class TestShutdownDrain:
                 rfile.close()
                 sock.close()
                 server.sessions.open = real_open
+
+    def test_no_connection_task_outlives_stop(self):
+        """``stop()`` awaits the task serving each open connection, so
+        none is left pending for the loop to destroy."""
+
+        async def pending_connection_tasks():
+            return [
+                t for t in asyncio.all_tasks()
+                if not t.done()
+                and t.get_coro().__qualname__.endswith("_serve_connection")
+            ]
+
+        with running_server() as (server, loop):
+            clients = [ServiceClient(port=server.port) for _ in range(3)]
+            try:
+                for client in clients:
+                    assert client.ping()["pong"] is True
+                assert len(on_loop(loop, pending_connection_tasks())) == 3
+                on_loop(loop, server.stop(drain_s=5.0), timeout=30)
+                assert on_loop(loop, pending_connection_tasks()) == []
+            finally:
+                for client in clients:
+                    client.close()
 
     def test_stop_is_bounded_when_a_handler_hangs(self):
         """A handler that never finishes cannot hold ``stop()``
