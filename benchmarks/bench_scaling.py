@@ -15,7 +15,7 @@ family swept at fixed ``n/p`` ratio):
 
   - backends are **bit-identical** per solver (conformance re-check);
   - the vector heuristics (VGH, EVG — the kernels' raison d'être) are
-    at least ``MIN_SPEEDUP``x faster on the numpy backend.
+    at least ``MIN_SPEEDUP[solver]``x faster on the numpy backend.
 
 All instances derive from one ``--bench-seed`` (default 0), so the
 JSON numbers are reproducible run-to-run.
@@ -38,10 +38,13 @@ from repro.kernels import compile_instance
 SIZES = [(320, 64), (1280, 256), (5120, 1024)]
 FULL_SIZES = SIZES + [(10240, 2048)]
 SOLVERS = ("SGH", "VGH", "EGH", "EVG")
-#: solvers held to the speedup floor (the vector heuristics, whose
-#: per-candidate comparisons the kernel core exists to batch)
-GUARDED = ("VGH", "EVG")
-MIN_SPEEDUP = 3.0
+#: per-solver speedup floors at the guarded size, for the vector
+#: heuristics, whose per-candidate comparisons the kernel core exists to
+#: batch.  Each is ~70% of what the prologue/loop kernels measure there
+#: (2-vCPU host, seed 0: VGH 7.6-8.1x, EVG 6.4-8.0x), so a return to the
+#: per-task repeat/scatter loop (VGH 3.4-4.8x, EVG 3.5-4.8x) fails it.
+MIN_SPEEDUP = {"VGH": 5.5, "EVG": 5.0}
+GUARDED = tuple(MIN_SPEEDUP)
 
 #: churn guard: the steady-state per-mutation cost of keeping the
 #: compilation patched (KernelPatcher) must stay at or below this
@@ -315,11 +318,11 @@ def run_harness(
         print(f"wrote {out}")
 
     for name in GUARDED:
-        if largest[name] < MIN_SPEEDUP:
+        if largest[name] < MIN_SPEEDUP[name]:
             raise AssertionError(
                 f"kernel speedup regression: {name} only "
                 f"{largest[name]:.2f}x at n={n_max} "
-                f"(need >= {MIN_SPEEDUP}x)"
+                f"(need >= {MIN_SPEEDUP[name]}x)"
             )
     print(
         f"kernel speedup guard OK at n={n_max}: "

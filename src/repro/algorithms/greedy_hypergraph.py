@@ -43,7 +43,12 @@ from ..core.errors import InfeasibleError
 from ..core.hypergraph import TaskHypergraph
 from ..core.loadvec import lex_compare_desc, lex_compare_multisets, sorted_desc
 from ..core.semimatching import HyperSemiMatching
-from ..kernels import check_backend, compile_instance, lex_best_row
+from ..kernels import (
+    check_backend,
+    compile_instance,
+    flat_ranges,
+    lex_best_row,
+)
 from .._util import stable_argsort
 
 __all__ = [
@@ -159,6 +164,53 @@ def _sgh_numpy(
 
 
 # ---------------------------------------------------------------------------
+# candidate-row addition blocks (VGH, EVG)
+# ---------------------------------------------------------------------------
+#: float64 entries of addition blocks built at once (16 MiB); instances
+#: whose blocks total more build them window by window of the visit order
+_BLOCK_BUDGET = 1 << 21
+
+
+def _row_blocks(ci, order: np.ndarray):
+    """Yield ``(tasks, flat, ptr)`` windows of per-task addition blocks.
+
+    The vector heuristics rank task ``v``'s ``m`` candidates through an
+    ``m x k`` matrix over its sorted pin-union of ``k`` processors: row
+    ``i`` is the union's current loads plus ``w_i`` at candidate ``i``'s
+    pins.  The loads change from task to task, the added part does not,
+    so it is built here in array passes — task ``tasks[t]``'s block is
+    ``flat[ptr[t]:ptr[t+1]].reshape(m, k)``, zeros plus each
+    candidate's weight at its union positions — and the loop forms the
+    rows with one broadcast ``block + loads``.  Row ``i`` is then
+    ``loads + w_i`` on ``i``'s pins and ``loads`` elsewhere, bit for
+    bit: addition commutes, and ``x + 0.0 == x`` for every load the
+    kernels produce (none is ``-0.0``).  Blocks total ``sum_v m_v k_v``
+    entries — far more than the instance when tasks have many wide
+    candidates — so they are built per solve in windows of the visit
+    order holding at most ``_BLOCK_BUDGET`` entries (plus one task's
+    block).
+    """
+    tptr = ci.hypergraph.task_ptr
+    pin_ptr = ci.g_ptr[tptr]  # task v's pins: pin_ptr[v]:pin_ptr[v+1]
+    npins, union = np.diff(pin_ptr), np.diff(ci.u_ptr)
+    size = np.diff(tptr) * union  # m_v * k_v
+    start = np.zeros(order.shape[0], dtype=np.int64)
+    np.cumsum(size[order][:-1], out=start[1:])
+    cuts = np.flatnonzero(np.diff(start // _BLOCK_BUDGET)) + 1
+    for tasks in np.split(order, cuts):
+        ptr = np.zeros(tasks.shape[0] + 1, dtype=np.int64)
+        np.cumsum(size[tasks], out=ptr[1:])
+        pins = flat_ranges(pin_ptr[tasks], npins[tasks])
+        local = np.repeat(np.arange(tasks.shape[0]), npins[tasks])
+        k = union[tasks][local]
+        flat = np.zeros(int(ptr[-1]), dtype=np.float64)
+        flat[ptr[local] + ci.g_pin_row[pins] * k + ci.g_pin_pos[pins]] = (
+            ci.g_pin_w[pins]
+        )
+        yield tasks.tolist(), flat, ptr.tolist()
+
+
+# ---------------------------------------------------------------------------
 # VGH
 # ---------------------------------------------------------------------------
 def vector_greedy_hyp(
@@ -238,31 +290,30 @@ def _vgh_python(
 def _vgh_numpy(
     hg: TaskHypergraph, sort_by_degree: bool
 ) -> HyperSemiMatching:
+    # All candidates compared at once over the task's pin-union: row i
+    # is the resulting loads of candidate i restricted to the union
+    # (sound by the multiset lemma).  The chosen row is the union's new
+    # loads, so committing it equals adding w_k to the chosen pins.
     ci = compile_instance(hg)
     loads = np.zeros(hg.n_procs, dtype=np.float64)
-    hedge_of_task = np.empty(hg.n_tasks, dtype=np.int64)
-    tptr = hg.task_ptr
-    gptr, gpins, gw, ghedge = ci.g_ptr, ci.g_pins, ci.g_w, ci.g_hedge
-    uptr, uprocs = ci.u_ptr, ci.u_procs
-    pin_w, pin_row, pin_pos = ci.g_pin_w, ci.g_pin_row, ci.g_pin_pos
+    chosen = [0] * hg.n_tasks
+    tptr = hg.task_ptr.tolist()
+    uptr = ci.u_ptr.tolist()
+    ghedge = ci.g_hedge.tolist()
+    uprocs = ci.u_procs
 
-    for v in _visit_order(hg, sort_by_degree):
-        a, b = tptr[v], tptr[v + 1]
-        if b - a == 1:
-            k = a
-        else:
-            # All candidates compared at once over the task's pin-union:
-            # row i is the resulting loads of candidate i restricted to
-            # the union (sound by the multiset lemma).
-            p0, p1 = gptr[a], gptr[b]
-            base = loads[uprocs[uptr[v] : uptr[v + 1]]]
-            rows = np.repeat(base[None, :], b - a, axis=0)
-            rows[pin_row[p0:p1], pin_pos[p0:p1]] += pin_w[p0:p1]
-            k = a + lex_best_row(rows)
-        hedge_of_task[v] = ghedge[k]
-        loads[gpins[gptr[k] : gptr[k + 1]]] += gw[k]
+    order = _visit_order(hg, sort_by_degree)
+    for tasks, blocks, bptr in _row_blocks(ci, order):
+        for t, v in enumerate(tasks):
+            a, m = tptr[v], tptr[v + 1] - tptr[v]
+            procs = uprocs[uptr[v] : uptr[v + 1]]
+            block = blocks[bptr[t] : bptr[t + 1]].reshape(m, -1)
+            rows = block + loads[procs]
+            j = lex_best_row(rows) if m > 1 else 0
+            chosen[v] = ghedge[a + j]
+            loads[procs] = rows[j]
 
-    return HyperSemiMatching(hg, hedge_of_task)
+    return HyperSemiMatching(hg, np.asarray(chosen, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -463,40 +514,54 @@ def _evg_python(
 def _evg_numpy(
     hg: TaskHypergraph, sort_by_degree: bool
 ) -> HyperSemiMatching:
+    # Prologue: everything that does not read o is computed once, in
+    # array passes — pointer arrays as Python lists (cheaper to index
+    # than ndarrays), each pin's share w/d_v (elementwise float64
+    # division, the same bits as a per-task pin_w / d_v), whether a
+    # task's candidates are pin-disjoint, and the candidate-row
+    # addition blocks (_row_blocks).  The loop is then a gather, a
+    # subtraction, a broadcast add, lex_best_row and a scatter per task.
     ci = compile_instance(hg)
     o = _expected_loads(hg)
-    hedge_of_task = np.empty(hg.n_tasks, dtype=np.int64)
-    tptr = hg.task_ptr
-    gptr, gw, ghedge = ci.g_ptr, ci.g_w, ci.g_hedge
-    uptr, uprocs = ci.u_ptr, ci.u_procs
-    pin_w, pin_row, pin_pos = ci.g_pin_w, ci.g_pin_row, ci.g_pin_pos
+    chosen = [0] * hg.n_tasks
+    tptr_arr = hg.task_ptr
+    tptr = tptr_arr.tolist()
+    uptr = ci.u_ptr.tolist()
+    ghedge = ci.g_hedge.tolist()
+    uprocs, pin_pos = ci.u_procs, ci.g_pin_pos
+    pin_ptr_arr = ci.g_ptr[tptr_arr]
+    pin_ptr = pin_ptr_arr.tolist()
+    npins = np.diff(pin_ptr_arr)
+    pin_task = np.repeat(np.arange(hg.n_tasks), npins)
+    dv = np.diff(tptr_arr).astype(np.float64)
+    pin_share = ci.g_pin_w / dv[pin_task]
+    # pin-disjoint candidates put exactly one pin on each union slot, so
+    # the siblings' withdrawal is one subtraction of per-slot shares
+    disjoint_arr = npins == np.diff(ci.u_ptr)
+    disjoint = disjoint_arr.tolist()
+    ushare = np.zeros(uprocs.shape[0], dtype=np.float64)
+    dpins = disjoint_arr[pin_task]
+    ushare[ci.u_ptr[pin_task[dpins]] + pin_pos[dpins]] = pin_share[dpins]
 
-    for v in _visit_order(hg, sort_by_degree):
-        a, b = tptr[v], tptr[v + 1]
-        dv = float(b - a)
-        p0, p1 = gptr[a], gptr[b]
-        u0, u1 = uptr[v], uptr[v + 1]
-        pos = pin_pos[p0:p1]
-        # every sibling withdraws its share, in candidate order (the
-        # elementwise subtract.at matches the Python loop's order; the
-        # buffered fancy subtract is identical — and cheaper — when no
-        # processor appears in two of the task's candidates)
-        common = o[uprocs[u0:u1]].copy()
-        if p1 - p0 == u1 - u0:
-            common[pos] -= pin_w[p0:p1] / dv
-        else:
-            np.subtract.at(common, pos, pin_w[p0:p1] / dv)
-        if b - a == 1:
-            j = 0
-            final = common
-            final[pos] += pin_w[p0:p1]
-        else:
-            rows = np.repeat(common[None, :], b - a, axis=0)
-            rows[pin_row[p0:p1], pos] += pin_w[p0:p1]
-            j = lex_best_row(rows)
-            final = rows[j]
-        k = a + j
-        hedge_of_task[v] = ghedge[k]
-        o[uprocs[u0:u1]] = final
+    order = _visit_order(hg, sort_by_degree)
+    for tasks, blocks, bptr in _row_blocks(ci, order):
+        for t, v in enumerate(tasks):
+            a, m = tptr[v], tptr[v + 1] - tptr[v]
+            u0, u1 = uptr[v], uptr[v + 1]
+            procs = uprocs[u0:u1]
+            # every sibling withdraws its share; where candidates
+            # overlap, subtract.at applies the shares elementwise in
+            # candidate order, matching the Python loop's accumulation
+            if disjoint[v]:
+                common = o[procs] - ushare[u0:u1]
+            else:
+                p0, p1 = pin_ptr[v], pin_ptr[v + 1]
+                common = o[procs]
+                np.subtract.at(common, pin_pos[p0:p1], pin_share[p0:p1])
+            rows = blocks[bptr[t] : bptr[t + 1]].reshape(m, -1) + common
+            j = lex_best_row(rows) if m > 1 else 0
+            chosen[v] = ghedge[a + j]
+            # commit: o restricted to the union becomes the realised row
+            o[procs] = rows[j]
 
-    return HyperSemiMatching(hg, hedge_of_task)
+    return HyperSemiMatching(hg, np.asarray(chosen, dtype=np.int64))

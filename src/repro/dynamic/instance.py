@@ -44,6 +44,50 @@ class _Config:
     alive: bool = True
 
 
+def _state_id(value: Any, field: str) -> int:
+    """A handle or pin id of a :meth:`DynamicInstance.from_state` dict:
+    a non-negative integer (not a boolean), checked, never cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(
+            f"state field {field!r} must hold integer ids, got "
+            f"{type(value).__name__} {value!r}"
+        )
+    if value < 0:
+        raise ValueError(f"state field {field!r} holds negative id {value}")
+    return int(value)
+
+
+def _state_config(entry: Any, where: str) -> _Config:
+    """One ``[pins, weight, alive]`` entry of a state's task."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+        raise TypeError(
+            f"state field 'tasks': {where} configurations must be "
+            "[pins, weight, alive] triples"
+        )
+    pins, weight, alive = entry
+    if not isinstance(pins, (list, tuple)):
+        raise TypeError(
+            f"state field 'pins' of {where} must be a list of ids"
+        )
+    if isinstance(weight, bool) or not isinstance(
+        weight, (int, float, np.integer, np.floating)
+    ):
+        raise TypeError(
+            f"state field 'weight' of {where} must be a number, got "
+            f"{type(weight).__name__} {weight!r}"
+        )
+    if not isinstance(alive, (bool, np.bool_)):
+        raise TypeError(
+            f"state field 'alive' of {where} must be a boolean, got "
+            f"{type(alive).__name__} {alive!r}"
+        )
+    return _Config(
+        tuple(sorted(_state_id(u, "pins") for u in pins)),
+        float(weight),
+        bool(alive),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class CompiledInstance:
     """The frozen CSR snapshot of a :class:`DynamicInstance`.
@@ -579,22 +623,37 @@ class DynamicInstance:
     def from_state(
         data: dict, *, patching: bool = True
     ) -> "DynamicInstance":
-        """Inverse of :meth:`to_state` (journal starts empty)."""
+        """Inverse of :meth:`to_state` (journal starts empty).
+
+        Fields are type-checked, never coerced: handles and pin ids must
+        be non-negative integers (task handles may also be the decimal
+        strings JSON object keys become), weights numbers and ``alive``
+        flags booleans — booleans count as neither integers nor
+        numbers.  A mistyped field raises :class:`TypeError` naming it;
+        structural faults raise :class:`GraphStructureError`.
+        """
         if data.get("kind") != "dynamic-instance":
             raise GraphStructureError(
                 f"expected kind 'dynamic-instance', got {data.get('kind')!r}"
             )
+        procs, tasks = data.get("procs"), data.get("tasks")
+        if not isinstance(procs, list):
+            raise TypeError("state field 'procs' must be a list of ids")
+        if not isinstance(tasks, dict):
+            raise TypeError("state field 'tasks' must be an object")
         inst = DynamicInstance(patching=patching)
-        inst._procs = {int(u) for u in data["procs"]}
-        for t, confs in data["tasks"].items():
-            parsed = [
-                _Config(
-                    tuple(sorted(int(u) for u in pins)),
-                    float(w),
-                    bool(alive),
+        inst._procs = {_state_id(u, "procs") for u in procs}
+        for t, confs in tasks.items():
+            if isinstance(t, str) and t.isascii() and t.isdecimal():
+                t = int(t)
+            task = _state_id(t, "tasks")
+            where = f"task {task}"
+            if not isinstance(confs, list):
+                raise TypeError(
+                    f"state field 'tasks': {where} must be a list of "
+                    "[pins, weight, alive] configurations"
                 )
-                for pins, w, alive in confs
-            ]
+            parsed = [_state_config(c, where) for c in confs]
             if not any(c.alive for c in parsed):
                 raise GraphStructureError(
                     f"task {t} has no alive configuration"
@@ -607,9 +666,9 @@ class DynamicInstance:
                     )
                 if not (c.weight > 0 and np.isfinite(c.weight)):
                     raise GraphStructureError(f"bad weight {c.weight!r}")
-            inst._tasks[int(t)] = parsed
-        inst._next_task = int(data["next_task"])
-        inst._next_proc = int(data["next_proc"])
+            inst._tasks[task] = parsed
+        inst._next_task = _state_id(data.get("next_task"), "next_task")
+        inst._next_proc = _state_id(data.get("next_proc"), "next_proc")
         if inst._tasks and max(inst._tasks) >= inst._next_task:
             raise GraphStructureError("next_task collides with a live handle")
         if inst._procs and max(inst._procs) >= inst._next_proc:

@@ -18,18 +18,35 @@ earlier task, so the per-task dependency chain is irreducible — there is
 no batched formulation over tasks without changing the algorithm (and
 hence the matching).  What the numpy backend vectorizes is the *inner*
 dimension (all of a task's candidates and pins at once); the outer loop
-keeps a fixed per-task cost of a few ufunc dispatches (gather, reduceat,
-argmin, scatter-add), about 3-4 µs/task regardless of instance size.
+keeps a fixed per-task cost of ufunc dispatches and ndarray scalar
+indexing, nearly independent of instance size.
 
-The Python oracle pays ~3 µs *per candidate pin list*, so the speedup of
-the numpy path approaches (mean pins per task) x (dispatch ratio) and
-measures ~3x on the benchmark families (g=16: 69 ms → 22 ms at n=5120)
-— not the 10-50x of the batch kernels below, whose work has no
-cross-item dependency.  Squeezing the remaining per-step constant means
-removing interpreter dispatch itself (a native/compiled loop), not more
-vectorization; the micro-optimisations that *are* worthwhile at this
-frontier (Python-list pointer indexing, precomputed reduceat offsets,
-in-place key updates) live in ``_sgh_numpy`` and are annotated there.
+So the loops are kept lean: whatever does not depend on the loads is
+computed before the loop in array passes (pointer arrays as Python
+lists, per-pin shares, per-task candidate-row addition blocks), and
+the loop body is a few dispatches per task.  SGH was built this way
+from the start; VGH and EVG now are too.  Per task on the Table I
+family at n = 5120 (``fewgmanyg``, ``dv = 5``, ``dh = 10``; 2-vCPU
+host, medians of repeated solves):
+
+======  ===============================  ==========================
+solver  per-task repeat/scatter loop     prologue + lean loop
+======  ===============================  ==========================
+SGH     ~6-8 µs                          (unchanged)
+EGH     ~14-18 µs                        (unchanged)
+VGH     ~24-28 µs                        ~14 µs, prologue included
+EVG     ~29-30 µs                        ~16-18 µs, prologue included
+======  ===============================  ==========================
+
+Part of the VGH/EVG gain is their ranking step, :func:`lex_best_row`:
+on 5 x 50 rows it went from ~11 µs (a key transform, a sort and a
+Python loop over the keys) to ~7.5 µs (a sort and one ``argmin`` over
+byte keys).  The Python oracle pays ~3 µs *per candidate pin list*, so
+numpy speedups stay near 2-8x (``BENCH_kernels.json``) — not the
+10-50x of the batch kernels below, whose work has no cross-item
+dependency.  Squeezing the remaining per-step constant means removing
+interpreter dispatch itself (a native/compiled loop), not more
+vectorization.
 """
 
 from __future__ import annotations
@@ -79,11 +96,11 @@ def _inv_sort_keys(rows: np.ndarray) -> np.ndarray:
     Each double maps through the inverted IEEE total-order trick
     (``~(bits | sign)`` for non-negatives, raw bits for negatives) — a
     strictly *decreasing* uint64 key for NaN-free floats (the kernels
-    never produce NaN, and ``-0.0`` cannot arise from sums and
-    differences of finite operands).  Sorting the inverted keys
-    ascending therefore sorts the values descending in place, and the
-    concatenated big-endian key bytes compare rows in one ``memcmp``
-    instead of a per-column loop.
+    never produce NaN); ``-0.0`` is not negative, so it gets the key
+    of ``0.0`` and the two rank equal, as they compare.  Sorting the
+    inverted keys ascending therefore sorts the values descending in
+    place, and the concatenated big-endian key bytes compare rows in
+    one ``memcmp`` instead of a per-column loop.
     """
     rows = np.asarray(rows, dtype=np.float64)
     m, k = rows.shape
@@ -100,14 +117,39 @@ def lex_best_row(rows: np.ndarray) -> int:
 
     Rows are value multisets (unsorted); ties keep the smallest index,
     matching the strict-``<`` incumbent rule of the Python loops.
+
+    Fast path: each row is sorted ascending as the int64 view of its
+    doubles.  A double without its sign bit is non-negative, and its
+    bits then order like its value, so if no row holds a set sign bit
+    the reversed (descending) rows' big-endian bytes compare like the
+    descending-lex order and one ``argmin`` over the byte strings picks
+    the row (``argmin`` keeps the first index on ties).  Every double
+    with a set sign bit — negatives, and ``-0.0``, whose bytes would
+    rank it above every positive — is a negative int64 and so sorts to
+    column 0, where one look at the row minima finds it; such rows take
+    the inverted-IEEE key path of :func:`_inv_sort_keys`, which ranks
+    ``-0.0`` equal to ``0.0`` as the oracle does.  Sorting the float
+    values instead would not do: ``-0.0 == 0.0`` lets a ``-0.0`` sit
+    behind a ``0.0`` minimum.  Both paths return the same index.  The
+    greedy kernels' rows never carry ``-0.0`` (a ``+0.0`` addition
+    block clears it) and only rarely a negative — a few ulps of share
+    residual in EVG.
+
+    This is the one lex-selection routine: the VGH and EVG loops call
+    it once per task on rows formed from the addition blocks their
+    prologue builds (see the sequential-frontier note above), so every
+    dispatch saved here is saved ``n`` times per solve.
     """
-    keys = _inv_sort_keys(rows)
-    best = 0
-    bk = keys[0]
-    for i in range(1, keys.shape[0]):
-        if keys[i] > bk:  # inverted keys: memcmp-larger == lex-smaller
-            best, bk = i, keys[i]
-    return best
+    rows = np.asarray(rows, dtype=np.float64)
+    m, k = rows.shape
+    if m == 1 or k == 0:
+        return 0
+    bits = rows.view(np.int64).copy()
+    bits.sort(axis=1)
+    if min(bits[:, 0].tolist()) < 0:
+        # memcmp-larger inverted key == lex-smaller row
+        return int(_inv_sort_keys(rows).argmax())
+    return int(bits[:, ::-1].astype(">i8").view(f"S{8 * k}").argmin())
 
 
 def batch_lex_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

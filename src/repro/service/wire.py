@@ -67,7 +67,8 @@ def _checked_kind(data: Any, what: str) -> str:
             f"{list(_KINDS)})",
             code=ErrorCode.BAD_REQUEST,
         )
-    for name in ("n_tasks", "n_procs"):
+    # every id of a dynamic-instance state is below its next_* counter
+    for name in ("n_tasks", "n_procs", "next_task", "next_proc"):
         count = data.get(name)
         if isinstance(count, int) and count > MAX_INSTANCE_VERTICES:
             raise ProtocolError(

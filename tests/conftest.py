@@ -51,3 +51,23 @@ def small_weighted_hypergraph() -> TaskHypergraph:
         n_procs=3,
     )
     return hg.with_weights(np.array([2.0, 5.0, 3.0, 1.5, 4.0, 2.5, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# kernel instrumentation
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def lex_fallbacks(monkeypatch) -> list[int]:
+    """A one-element counter of ``lex_best_row``'s trips through its
+    inverted-key fallback (the sign-bit path) while the test runs."""
+    from repro.kernels import ops
+
+    calls = [0]
+    inv = ops._inv_sort_keys
+
+    def counted(rows):
+        calls[0] += 1
+        return inv(rows)
+
+    monkeypatch.setattr(ops, "_inv_sort_keys", counted)
+    return calls

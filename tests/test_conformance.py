@@ -23,7 +23,13 @@ nothing to edit here.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.algorithms import (
+    expected_vector_greedy_hyp,
+    vector_greedy_hyp,
+)
 from repro.api import SolveOptions, get_registry
 from repro.core import TaskHypergraph
 from repro.core.validation import (
@@ -44,6 +50,8 @@ from repro.generators import (
     planted_x3c,
     x3c_to_multiproc,
 )
+
+from strategies import generated_instances
 
 # ---------------------------------------------------------------------------
 # the shared corpus
@@ -278,3 +286,66 @@ def test_incremental_conformance_via_replay(instance):
     inst2, solver2 = _replay(hg, trace)
     assert inst2.digest() == inst.digest()
     assert solver2.assignment() == solver.assignment()
+
+
+# ---------------------------------------------------------------------------
+# the vector heuristics on fractional weights
+# ---------------------------------------------------------------------------
+#: weights whose shares w/d_v are inexact, so EVG's withdrawn shares can
+#: leave a few-ulp residual of either sign
+_FRACTIONS = [0.1, 0.2, 0.7, 1 / 3, 2.5, 0.05]
+
+
+def test_vector_heuristics_conform_on_negative_share_residuals(
+    lex_fallbacks,
+):
+    """EVG's numpy path takes lex_best_row's sign-bit fallback on this
+    instance (a -3.5e-17 share residual lands in a candidate row) and
+    still matches the python oracle; VGH is held to the same."""
+    hg = TaskHypergraph.from_configurations(
+        [[[0, 1], [1], [1]], [[1], [0], [0, 1]]], n_procs=2
+    ).with_weights([0.7, 0.7, 0.2, 0.7, 0.7, 0.1])
+    fast = expected_vector_greedy_hyp(hg)
+    assert lex_fallbacks[0] > 0, "the fallback selection never ran"
+    slow = expected_vector_greedy_hyp(hg, backend="python")
+    assert np.array_equal(fast.hedge_of_task, slow.hedge_of_task)
+    assert np.array_equal(
+        vector_greedy_hyp(hg).hedge_of_task,
+        vector_greedy_hyp(hg, backend="python").hedge_of_task,
+    )
+
+
+@given(generated_instances(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_vector_heuristics_conform_on_fractional_weights(hg, data):
+    weights = data.draw(
+        st.lists(
+            st.sampled_from(_FRACTIONS),
+            min_size=hg.n_hedges,
+            max_size=hg.n_hedges,
+        )
+    )
+    hg = hg.with_weights(weights)
+    for solve in (expected_vector_greedy_hyp, vector_greedy_hyp):
+        assert np.array_equal(
+            solve(hg).hedge_of_task,
+            solve(hg, backend="python").hedge_of_task,
+        ), solve.__name__
+
+
+def test_vector_heuristics_conform_across_block_windows(monkeypatch):
+    """Instances whose addition blocks exceed the budget build them in
+    windows of the visit order; a tiny budget forces one window per few
+    tasks and the matchings stay bit-identical."""
+    from repro.algorithms import greedy_hypergraph
+
+    monkeypatch.setattr(greedy_hypergraph, "_BLOCK_BUDGET", 16)
+    for seed in range(4):
+        hg = generate_multiproc(
+            60, 12, g=4, dv=3, dh=4, weights="random", seed=seed
+        )
+        for solve in (expected_vector_greedy_hyp, vector_greedy_hyp):
+            assert np.array_equal(
+                solve(hg).hedge_of_task,
+                solve(hg, backend="python").hedge_of_task,
+            ), (solve.__name__, seed)

@@ -347,9 +347,11 @@ class TestCacheConcurrency:
                             # one cannot corrupt the stored entry
                             assert hit.assignment.shape == (2,)
                             hit.assignment[0] = -1
+                            # another thread may evict the key first;
+                            # that miss is a get all the same
+                            gets[tid] += 1
                             again = cache.get(key)
                             if again is not None:
-                                gets[tid] += 1
                                 assert again.assignment[0] != -1
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)

@@ -118,7 +118,7 @@ class TestCompiledKernels:
 # lex kernels vs the loadvec oracle
 # ---------------------------------------------------------------------------
 _VALUES = st.sampled_from(
-    [0.0, 1.0, 1.5, 2.0, 3.0, 0.1 + 0.2, -1e-16, 7.25]
+    [0.0, -0.0, 1.0, 1.5, 2.0, 3.0, 0.1 + 0.2, -1e-16, 7.25]
 )
 
 
@@ -141,6 +141,23 @@ class TestLexKernels:
             if lex_compare_multisets(rows[i], rows[best]) < 0:
                 best = i
         assert lex_best_row(rows) == best
+
+    def test_each_selection_path_runs(self, lex_fallbacks):
+        # non-negative rows: the byte-key fast path
+        assert lex_best_row(np.array([[2.0, 1.0], [1.0, 1.5]])) == 1
+        assert lex_fallbacks[0] == 0
+        # a negative value: the inverted-key fallback
+        assert lex_best_row(np.array([[2.0, -1.0], [1.0, 1.5]])) == 1
+        assert lex_fallbacks[0] == 1
+
+    def test_negative_zero_ranks_as_zero(self, lex_fallbacks):
+        # -0.0 equals 0.0 but its bytes outrank every positive: it must
+        # reach the fallback even when a 0.0 is the row's minimum
+        rows = np.array([[0.0, -0.0, 1.0], [0.0, 0.0, 1.0]])
+        assert lex_best_row(rows) == 0
+        assert lex_best_row(rows[::-1]) == 0
+        assert lex_fallbacks[0] == 2
+        assert lex_best_row(np.array([[0.5, 1.0], [1.0, -0.0]])) == 1
 
     @given(st.integers(1, 6), st.integers(1, 8), st.data())
     @settings(max_examples=80, deadline=None)

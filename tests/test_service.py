@@ -38,6 +38,7 @@ from repro.service import (
     SolveServer,
 )
 from repro.service.protocol import (
+    MAX_INSTANCE_VERTICES,
     decode_frame,
     encode_frame,
     error_code_for,
@@ -305,6 +306,47 @@ class TestSolveRoundTrip:
             finally:
                 rfile.close()
                 sock.close()
+
+    @pytest.mark.parametrize(
+        "field, mistype",
+        [
+            ("pins", lambda s: s["tasks"]["0"][0].__setitem__(0, [0.5])),
+            ("pins", lambda s: s["tasks"]["0"][0].__setitem__(0, [True])),
+            ("procs", lambda s: s.__setitem__("procs", [0, 1.0])),
+            ("tasks", lambda s: s["tasks"].__setitem__("0.5", [])),
+            ("weight", lambda s: s["tasks"]["0"][0].__setitem__(1, "2.5")),
+            ("weight", lambda s: s["tasks"]["0"][0].__setitem__(1, True)),
+            ("alive", lambda s: s["tasks"]["0"][0].__setitem__(2, 1)),
+            (
+                "next_task",
+                lambda s: s.__setitem__("next_task", MAX_INSTANCE_VERTICES + 1),
+            ),
+            (
+                "next_proc",
+                lambda s: s.__setitem__("next_proc", MAX_INSTANCE_VERTICES + 1),
+            ),
+        ],
+    )
+    def test_mistyped_dynamic_state_answers_bad_request(self, field, mistype):
+        """``dynamic-instance`` states are decoded as strictly as
+        hypergraph dicts, over both ops that accept them."""
+        state = {
+            "kind": "dynamic-instance", "version": 1, "procs": [0, 1],
+            "next_task": 1, "next_proc": 2,
+            "tasks": {"0": [[[0, 1], 2.0, True]]},
+        }
+        with running_server() as (server, _loop):
+            with ServiceClient(port=server.port) as client:
+                # the well-typed state solves
+                assert client.call("solve", instance=state)["makespan"] == 2.0
+                mistype(state)
+                for op, key in (("solve", "instance"),
+                                ("session.open", "baseline")):
+                    with pytest.raises(RemoteError) as exc:
+                        client.call(op, **{key: state})
+                    assert exc.value.code == "bad-request", op
+                    assert field in str(exc.value), op
+                assert client.ping()["pong"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +985,10 @@ class TestAsyncClientClose:
 
         async def scenario():
             async def mute(reader, writer):  # accepts, never answers
-                await reader.read()
+                try:
+                    await reader.read()
+                finally:
+                    writer.close()
 
             srv = await asyncio.start_server(mute, "127.0.0.1", 0)
             port = srv.sockets[0].getsockname()[1]
